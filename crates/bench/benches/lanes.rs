@@ -1,11 +1,11 @@
 //! Criterion micro-benchmarks of the batch-lane plan kernel: the
-//! simd-vs-scalar A/B on the warm fused path, and the lane-tile size
+//! lane-vs-streaming A/B on the warm fused path, and the lane-tile size
 //! sweep that sanity-checks `LaneTile::select`'s per-layer choice.
 //!
 //! `kernel_sweep` is the recorded experiment (BENCH_kernel.json, schema
-//! v2); these benches are the developer-loop view. Build with
-//! `--features simd` to put the AVX2 path under the `lane` IDs — the
-//! `isa` group label records which path actually ran.
+//! v3); these benches are the developer-loop view. The group label
+//! records `lane_isa()`, the MAC path the `lane` IDs actually ran
+//! (AVX2 when the host has it, the scalar fallback otherwise).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use eie_core::prelude::*;
@@ -29,22 +29,22 @@ fn setup() -> (EncodedLayer, Vec<Vec<Q8p8>>) {
     (enc, batch)
 }
 
-fn bench_lane_vs_scalar(c: &mut Criterion) {
+fn bench_lane_vs_streaming(c: &mut Criterion) {
     let (enc, batch) = setup();
-    let mut group = c.benchmark_group(format!("lane_vs_scalar/{}", lane_isa()));
+    let mut group = c.benchmark_group(format!("lane_vs_streaming/{}", lane_isa()));
     group.throughput(Throughput::Elements(
         (enc.total_entries() * batch.len()) as u64,
     ));
     for threads in [1usize, 4] {
         let lane = NativeCpu::with_threads(threads);
-        let scalar = lane.clone().without_lanes();
+        let streaming = lane.clone().without_plans();
         // Warm outside the measurement: plans built, pools spawned,
         // lane scratch at its high-water mark.
         let _ = lane.run_layer_batch(&enc, &batch, false);
-        let _ = scalar.run_layer_batch(&enc, &batch, false);
+        let _ = streaming.run_layer_batch(&enc, &batch, false);
 
-        group.bench_function(BenchmarkId::new("batch16_scalar", threads), |b| {
-            b.iter(|| scalar.run_layer_batch(&enc, &batch, false))
+        group.bench_function(BenchmarkId::new("batch16_streaming", threads), |b| {
+            b.iter(|| streaming.run_layer_batch(&enc, &batch, false))
         });
         group.bench_function(BenchmarkId::new("batch16_lane", threads), |b| {
             b.iter(|| lane.run_layer_batch(&enc, &batch, false))
@@ -85,5 +85,5 @@ fn bench_tile_sizes(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_lane_vs_scalar, bench_tile_sizes);
+criterion_group!(benches, bench_lane_vs_streaming, bench_tile_sizes);
 criterion_main!(benches);

@@ -1,27 +1,23 @@
 //! Kernel sweep: the reproducible perf baseline of the native hot path.
 //!
 //! Measures layer throughput across a batch-size sweep (1, 4, 8, 16,
-//! 32) for three kernels:
+//! 32) for two kernels:
 //!
 //! * **streaming** — per-call entry-stream decode, scoped threads (the
 //!   pre-plan code path, kept alive as `NativeCpu::without_plans`),
-//! * **plan-scalar** — pre-decoded [`LayerPlan`]s on the persistent
-//!   pool, fused batches one MAC at a time (`NativeCpu::without_lanes`,
-//!   the pre-lane code path — the *scalar* half of the simd-vs-scalar
-//!   A/B),
-//! * **plan** — the batch-lane vectorized plan kernel (fixed-width
-//!   `[i32; LANE_WIDTH]` MACs, per-layer column tiles; AVX2 when built
-//!   with `--features simd` on a capable host — the recorded `simd`
-//!   field says which path ran).
+//! * **plan** — pre-decoded [`LayerPlan`]s on the persistent pool, with
+//!   fused batches on the batch-lane kernel (fixed-width
+//!   `[i32; LANE_WIDTH]` MACs, per-layer column tiles; AVX2 when the
+//!   host has it — the recorded `simd` field says which path ran).
 //!
-//! All three kernels are asserted bit-exact against each other here —
-//! at batch 1 and at the largest swept batch — before any number is
+//! Both kernels are asserted bit-exact against each other here — at
+//! batch 1 and at the largest swept batch — before any number is
 //! recorded; the property tests pin the same equivalence against the
 //! functional golden model.
 //!
 //! Output: a table + story on stdout (and `results/kernel_sweep.txt`),
 //! plus the machine-readable **`BENCH_kernel.json`** at the repo root —
-//! the recorded perf trajectory (schema `eie-kernel-sweep/v2`,
+//! the recorded perf trajectory (schema `eie-kernel-sweep/v3`,
 //! documented in `EXPERIMENTS.md`). Only a full-scale non-quick run
 //! touches that file: `--quick` (the CI smoke: one layer, bounded
 //! iterations, batches 1 and 8) writes
@@ -44,7 +40,7 @@ struct Cell {
     threads: usize,
     /// Batch size of the run (1 = single-item path).
     batch: usize,
-    /// `"streaming"`, `"plan-scalar"` or `"plan"`.
+    /// `"streaming"` or `"plan"`.
     kernel: &'static str,
     us_per_frame: f64,
     frames_per_second: f64,
@@ -57,7 +53,6 @@ struct Headline {
     single_speedup: f64,
     batch: usize,
     batch_speedup: f64,
-    lane_over_scalar: f64,
 }
 
 fn main() {
@@ -89,11 +84,11 @@ fn main() {
     };
     let batches: &[usize] = if quick { &[1, 8] } else { &[1, 4, 8, 16, 32] };
     let max_batch = *batches.last().expect("batch sweep is non-empty");
-    const KERNELS: [&str; 3] = ["streaming", "plan-scalar", "plan"];
+    const KERNELS: [&str; 2] = ["streaming", "plan"];
 
     let mut table = TextTable::new(
         format!(
-            "Kernel sweep: streaming vs plan-scalar vs plan (lanes: {}), scale 1/{}, EIE = {}",
+            "Kernel sweep: streaming vs plan (lanes: {}), scale 1/{}, EIE = {}",
             lane_isa(),
             scale_divisor(),
             config
@@ -127,11 +122,10 @@ fn main() {
 
         for &threads in &thread_counts {
             let plan = NativeCpu::with_threads(threads);
-            let scalar = plan.clone().without_lanes();
             let stream = plan.clone().without_plans();
-            let engines = [&stream, &scalar, &plan];
+            let engines = [&stream, &plan];
             // Warm every engine and refuse to record perf of wrong
-            // answers: the three kernels must agree bit-exactly at
+            // answers: the two kernels must agree bit-exactly at
             // batch 1 and at the largest swept batch (covering the
             // lane kernel's padded tail blocks).
             let warmed: Vec<_> = engines
@@ -155,7 +149,7 @@ fn main() {
                 );
             }
             println!(
-                "verified: streaming/plan-scalar/plan bit-exact on {} \
+                "verified: streaming/plan bit-exact on {} \
                  (single + batch {max_batch}, {threads}t)",
                 benchmark.name()
             );
@@ -212,10 +206,9 @@ fn main() {
             let candidate = Headline {
                 layer: benchmark.name().to_string(),
                 threads,
-                single_speedup: fps[0][2] / fps[0][0],
+                single_speedup: fps[0][1] / fps[0][0],
                 batch: batches[ref_bi],
-                batch_speedup: fps[ref_bi][2] / fps[ref_bi][0],
-                lane_over_scalar: fps[ref_bi][2] / fps[ref_bi][1],
+                batch_speedup: fps[ref_bi][1] / fps[ref_bi][0],
             };
             if headline
                 .as_ref()
@@ -238,18 +231,16 @@ fn main() {
     let _ = writeln!(
         out,
         "\nHeadline: {} fused batch-{} {} plan-over-streaming at {} thread(s) \
-         (single-item {}, lane-over-scalar {} on {} lanes). The batch-lane kernel \
-         transposes activations into {}-item blocks once per batch and applies each \
-         pre-decoded weight to a whole block as one fixed-width saturating MAC, tiled \
-         per layer so the SoA entry runs stay cache-resident; plan-scalar is the same \
-         plan walked one MAC at a time, and streaming re-decodes the compressed stream \
+         (single-item {}, {} lanes). The batch-lane kernel transposes activations \
+         into {}-item blocks once per batch and applies each pre-decoded weight to a \
+         whole block as one fixed-width saturating MAC, tiled per layer so the SoA \
+         entry runs stay cache-resident; streaming re-decodes the compressed stream \
          per call — exactly what the serving path used to do.",
         hl.layer,
         hl.batch,
         x(hl.batch_speedup),
         hl.threads,
         x(hl.single_speedup),
-        x(hl.lane_over_scalar),
         lane_isa(),
         LANE_WIDTH,
     );
@@ -258,7 +249,7 @@ fn main() {
     // ---- machine-readable record ------------------------------------
     let mut json = String::new();
     json.push_str("{\n");
-    let _ = writeln!(json, "  \"schema\": \"eie-kernel-sweep/v2\",");
+    let _ = writeln!(json, "  \"schema\": \"eie-kernel-sweep/v3\",");
     let _ = writeln!(json, "  \"scale_divisor\": {},", scale_divisor());
     let _ = writeln!(json, "  \"pes\": {},", config.num_pes);
     let _ = writeln!(json, "  \"threads_available\": {available},");
@@ -286,9 +277,8 @@ fn main() {
     let _ = writeln!(
         json,
         "  \"headline\": {{\"layer\": \"{}\", \"threads\": {}, \"batch\": {}, \
-         \"single_item_speedup\": {:.3}, \"batch_speedup\": {:.3}, \
-         \"lane_over_scalar\": {:.3}}},",
-        hl.layer, hl.threads, hl.batch, hl.single_speedup, hl.batch_speedup, hl.lane_over_scalar
+         \"single_item_speedup\": {:.3}, \"batch_speedup\": {:.3}}},",
+        hl.layer, hl.threads, hl.batch, hl.single_speedup, hl.batch_speedup
     );
     json.push_str("  \"results\": [\n");
     for (i, c) in cells.iter().enumerate() {

@@ -262,8 +262,12 @@ impl WeightCodec for BitPlane {
         let h = read_layer_header(&mut r, &BITPLANE_MAGIC)?;
         let shapes = read_pe_shapes(&mut r, &h)?;
         let total: usize = shapes.iter().map(|s| s.n_entries).sum();
-        let codes = read_planes(&mut r, "code planes", total)?;
-        let zruns = read_planes(&mut r, "zrun planes", total)?;
+        // Every real entry has a non-zero code and padding only precedes
+        // a real entry, so a non-empty code stream always stores a plane;
+        // the zrun stream may be all zero, but its count was then paid
+        // for by the code planes.
+        let codes = read_planes(&mut r, "code planes", total, false)?;
+        let zruns = read_planes(&mut r, "zrun planes", total, true)?;
         assemble(h, shapes, &codes, &zruns)
     }
 }
@@ -507,20 +511,33 @@ fn write_planes(data: &[u8], out: &mut Vec<u8>) {
 /// Reads bit planes back into a byte stream of `count` symbols. Present
 /// planes must carry at least one set bit and zero padding bits, so the
 /// encoding stays canonical (encode ∘ decode is the identity on bytes).
+///
+/// `count` comes from unverified shape fields, so every present plane
+/// is taken from the input before `count` bytes are allocated; unless
+/// `may_be_zero`, a non-empty stream must also store at least one plane.
 fn read_planes(
     r: &mut Reader<'_>,
     section: &'static str,
     count: usize,
+    may_be_zero: bool,
 ) -> Result<Vec<u8>, DecodeLayerError> {
     r.enter(section);
     let mask = r.u8()?;
+    if count > 0 && mask == 0 && !may_be_zero {
+        return Err(DecodeLayerError::BadStream { section });
+    }
     let plane_bytes = count.div_ceil(8);
+    let mut planes: [&[u8]; 8] = [&[]; 8];
+    for (plane, slot) in planes.iter_mut().enumerate() {
+        if mask & (1 << plane) != 0 {
+            *slot = r.take(plane_bytes)?;
+        }
+    }
     let mut data = vec![0u8; count];
-    for plane in 0..8u8 {
+    for (plane, bytes) in planes.iter().enumerate() {
         if mask & (1 << plane) == 0 {
             continue;
         }
-        let bytes = r.take(plane_bytes)?;
         let mut any = false;
         for (j, v) in data.iter_mut().enumerate() {
             if bytes[j / 8] & (0x80 >> (j % 8)) != 0 {
@@ -766,6 +783,33 @@ mod tests {
             BitPlane.decode(&corrupt),
             Err(DecodeLayerError::BadStream {
                 section: "zrun planes"
+            })
+        );
+    }
+
+    #[test]
+    fn bit_plane_rejects_entries_without_a_code_plane() {
+        // A hand-built image claiming 2^16 all-zero entries (a
+        // single-column layer of 2^16 rows, no code or zrun plane):
+        // structurally valid, but ~70 header bytes would decode into a
+        // 2^16-entry layer. The encoder never writes one (every real
+        // entry has a non-zero code), so the decoder refuses it before
+        // allocating the streams.
+        let layer = sample(1, 3);
+        let n: u32 = 1 << 16;
+        let header = layer_header_bytes(&layer);
+        let mut bytes = BitPlane.encode(&layer)[..header].to_vec();
+        bytes[8..12].copy_from_slice(&n.to_le_bytes()); // rows
+        bytes[12..16].copy_from_slice(&1u32.to_le_bytes()); // cols
+        for word in [n, n, 0, n] {
+            // local_rows, n_entries, col_ptr = [0, n]
+            bytes.extend_from_slice(&word.to_le_bytes());
+        }
+        bytes.extend_from_slice(&[0, 0]); // empty code and zrun masks
+        assert_eq!(
+            BitPlane.decode(&bytes),
+            Err(DecodeLayerError::BadStream {
+                section: "code planes"
             })
         );
     }

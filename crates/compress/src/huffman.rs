@@ -124,7 +124,9 @@ impl HuffmanCode {
                 table.insert((len, self.codes[s as usize]), s as u8);
             }
         }
-        let mut out = Vec::with_capacity(count);
+        // Every symbol costs at least one bit, so `count` past the bit
+        // length is corrupt; never reserve more than the bits can hold.
+        let mut out = Vec::with_capacity(count.min(bits.len()));
         let mut pos = 0usize;
         for _ in 0..count {
             let mut code = 0u32;

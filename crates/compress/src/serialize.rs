@@ -282,7 +282,11 @@ impl EncodedLayer {
         let mut r = Reader::new(bytes, "magic");
         let h = read_layer_header(&mut r, &MAGIC)?;
 
-        let mut slices = Vec::with_capacity(h.num_pes);
+        // Every count below comes from unverified bytes: reserve no more
+        // than the remaining input can still hold (a PE header is 8
+        // bytes, a col_ptr slot 4, an entry 2), so a corrupt count fails
+        // as truncation instead of as a header-sized allocation.
+        let mut slices = Vec::with_capacity(h.num_pes.min(r.remaining() / 8 + 1));
         let mut total_local = 0usize;
         for _ in 0..h.num_pes {
             r.enter("pe header");
@@ -290,12 +294,12 @@ impl EncodedLayer {
             total_local += local_rows;
             let n_entries = r.u32()? as usize;
             r.enter("col_ptr");
-            let mut col_ptr = Vec::with_capacity(h.cols + 1);
+            let mut col_ptr = Vec::with_capacity((h.cols + 1).min(r.remaining() / 4 + 1));
             for _ in 0..=h.cols {
                 col_ptr.push(r.u32()?);
             }
             r.enter("entries");
-            let mut entries = Vec::with_capacity(n_entries);
+            let mut entries = Vec::with_capacity(n_entries.min(r.remaining() / 2 + 1));
             for _ in 0..n_entries {
                 let code = r.u8()?;
                 let zrun = r.u8()?;

@@ -459,7 +459,10 @@ impl CompiledModel {
             });
         }
 
-        let mut layers: Vec<EncodedLayer> = Vec::with_capacity(num_layers.min(1 << 16));
+        // A layer record is at least a u32 length (plus the codec id from
+        // version 2), so the remaining payload caps the reservation.
+        let mut layers: Vec<EncodedLayer> =
+            Vec::with_capacity(num_layers.min((payload.len() - r.pos) / 4));
         let mut model_codec = WeightCodecKind::CscNibble;
         for index in 0..num_layers {
             r.enter("layer image");

@@ -31,9 +31,9 @@
 //! The fused kernel is **batch-lane vectorized**: activations are
 //! transposed once per batch into zero-padded [`LANE_WIDTH`]-item lane
 //! blocks, and each pre-decoded weight is applied to a whole block as
-//! one fixed-width `[i32; LANE_WIDTH]` saturating MAC — a shape the
-//! autovectorizer can prove, with an AVX2 `core::arch` path behind the
-//! `simd` cargo feature (runtime-detected; see [`lane_isa`]). Because
+//! one fixed-width `[i32; LANE_WIDTH]` saturating MAC — AVX2 `core::arch`
+//! intrinsics when the CPU has them (runtime-detected; see [`lane_isa`]),
+//! a fixed-width scalar loop otherwise. Because
 //! every batch item's saturating-`Accum32` chain is independent and a
 //! padded lane adds a zero product (a no-op under saturating addition),
 //! vectorizing across the batch cannot change any item's add sequence.
@@ -41,11 +41,11 @@
 //! lane-block) so the tile's SoA entry runs stay cache-resident across
 //! lane blocks.
 //!
-//! Two measured A/B baselines are retained: the pre-plan streaming
-//! kernel behind [`NativeCpu::without_plans`] (and
-//! `BackendKind::NativeStreaming`) and the scalar fused plan kernel
-//! behind [`NativeCpu::without_lanes`] — `kernel_sweep` and the
-//! property tests hold all three bit-exact against each other.
+//! One measured A/B baseline is retained: the pre-plan streaming kernel
+//! behind [`NativeCpu::without_plans`] (and
+//! `BackendKind::NativeStreaming`) — `kernel_sweep` and the property
+//! tests hold it and the plan kernels bit-exact against each other and
+//! the functional golden model.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -127,9 +127,6 @@ struct Inner {
     /// threads. `1` (the default) is the classic single-group dispatch.
     shards: usize,
     use_plans: bool,
-    /// `false` only for the [`NativeCpu::without_lanes`] scalar fused
-    /// A/B baseline: batches run the pre-lane per-item-list kernel.
-    use_lanes: bool,
     /// Spawned on the first parallel planned run; `threads - 1` parked
     /// workers (the session holder executes the remaining share).
     pool: OnceLock<WorkerPool>,
@@ -151,7 +148,6 @@ impl std::fmt::Debug for NativeCpu {
             .field("threads", &self.inner.threads)
             .field("shards", &self.inner.shards)
             .field("plans", &self.inner.use_plans)
-            .field("lanes", &self.inner.use_lanes)
             .field("cached_plans", &self.cached_plans())
             .finish()
     }
@@ -176,7 +172,6 @@ impl NativeCpu {
                 threads,
                 shards: 1,
                 use_plans: true,
-                use_lanes: true,
                 pool: OnceLock::new(),
                 plans: RwLock::new(PlanCacheMap::default()),
                 plan_builds: AtomicU64::new(0),
@@ -213,7 +208,6 @@ impl NativeCpu {
                 threads: self.inner.threads,
                 shards,
                 use_plans: self.inner.use_plans,
-                use_lanes: self.inner.use_lanes,
                 pool: OnceLock::new(),
                 plans: RwLock::new(PlanCacheMap::default()),
                 plan_builds: AtomicU64::new(0),
@@ -232,28 +226,6 @@ impl NativeCpu {
                 threads: self.inner.threads,
                 shards: self.inner.shards,
                 use_plans: false,
-                use_lanes: false,
-                pool: OnceLock::new(),
-                plans: RwLock::new(PlanCacheMap::default()),
-                plan_builds: AtomicU64::new(0),
-                session: Mutex::new(Session::new()),
-            }),
-        }
-    }
-
-    /// Disables batch-lane vectorization: fused batches run the scalar
-    /// plan kernel (per-column live-item lists, one MAC at a time).
-    /// This is the `simd-vs-scalar` A/B baseline for `kernel_sweep`,
-    /// the `lanes` criterion bench and the property tests, not a
-    /// serving configuration. Single items are unaffected (they never
-    /// use lanes).
-    pub fn without_lanes(self) -> Self {
-        Self {
-            inner: Arc::new(Inner {
-                threads: self.inner.threads,
-                shards: self.inner.shards,
-                use_plans: self.inner.use_plans,
-                use_lanes: false,
                 pool: OnceLock::new(),
                 plans: RwLock::new(PlanCacheMap::default()),
                 plan_builds: AtomicU64::new(0),
@@ -276,13 +248,6 @@ impl NativeCpu {
     /// [`NativeCpu::without_plans`] streaming baseline).
     pub fn uses_plans(&self) -> bool {
         self.inner.use_plans
-    }
-
-    /// Whether fused batches run the batch-lane vectorized kernel
-    /// (`false` for the [`NativeCpu::without_lanes`] scalar A/B
-    /// baseline and the streaming baseline).
-    pub fn uses_lanes(&self) -> bool {
-        self.inner.use_lanes
     }
 
     /// Number of layer plans currently cached by this engine.
@@ -390,35 +355,10 @@ impl NativeCpu {
         let b = batch.len();
         let mut guard = self.inner.session.lock().expect("session poisoned");
         let session = &mut *guard;
-        let input = if self.inner.use_lanes {
-            {
-                let schedule = exclusive(&mut session.lanes);
-                schedule.fill(batch, plan.cols());
-            }
-            TaskInput::Lanes {
-                schedule: Arc::clone(&session.lanes),
-                batch: b,
-            }
-        } else {
-            {
-                let schedule = exclusive(&mut session.batch);
-                schedule.live.clear();
-                schedule.col_ptr.clear();
-                schedule.col_ptr.push(0);
-                for j in 0..plan.cols() {
-                    for (i, item) in batch.iter().enumerate() {
-                        let a = item[j];
-                        if !a.is_zero() {
-                            schedule.live.push((i as u32, a.raw() as i32));
-                        }
-                    }
-                    schedule.col_ptr.push(schedule.live.len() as u32);
-                }
-            }
-            TaskInput::Batch {
-                schedule: Arc::clone(&session.batch),
-                batch: b,
-            }
+        exclusive(&mut session.lanes).fill(batch, plan.cols());
+        let input = TaskInput::Lanes {
+            schedule: Arc::clone(&session.lanes),
+            batch: b,
         };
         let mut outputs: Vec<Vec<Q8p8>> = (0..b).map(|_| vec![Q8p8::ZERO; plan.rows()]).collect();
         let failed = self.dispatch(session, plan, input, relu, &mut |plan, range, scratch| {
@@ -585,15 +525,6 @@ pub(super) struct SingleSchedule {
     pub(super) cols: Vec<(u32, i32)>,
 }
 
-/// The fused-batch schedule, flattened for reuse: per column, the
-/// `(item, act_raw)` pairs with a non-zero activation, concatenated in
-/// column order with a `cols + 1` extent index.
-#[derive(Debug, Default)]
-pub(super) struct BatchSchedule {
-    pub(super) live: Vec<(u32, i32)>,
-    pub(super) col_ptr: Vec<u32>,
-}
-
 /// The batch-lane schedule: activations transposed once per batch into
 /// [`LANE_WIDTH`]-item lane blocks, so the kernel can apply one weight
 /// to a whole block as a fixed-width vector MAC.
@@ -657,14 +588,6 @@ impl LaneSchedule {
 pub(super) enum TaskInput {
     /// One item's broadcast schedule.
     Single(Arc<SingleSchedule>),
-    /// A fused batch's scalar schedule plus the batch size (the
-    /// `without_lanes` A/B baseline).
-    Batch {
-        /// Per-column live items.
-        schedule: Arc<BatchSchedule>,
-        /// Number of items in the batch.
-        batch: usize,
-    },
     /// A fused batch's lane schedule plus the true batch size.
     Lanes {
         /// Transposed lane-block activations.
@@ -721,7 +644,7 @@ fn run_pe_range(
 ) {
     let b = match input {
         TaskInput::Single(_) => 1,
-        TaskInput::Batch { batch, .. } | TaskInput::Lanes { batch, .. } => *batch,
+        TaskInput::Lanes { batch, .. } => *batch,
     };
     let slices = &plan.slices()[first..end];
     let total: usize = slices.iter().map(|s| s.local_rows() * b).sum();
@@ -730,13 +653,13 @@ fn run_pe_range(
     for slice in slices {
         let block = slice.local_rows() * b;
         // The lane kernel accumulates into lane-aligned blocks (batch
-        // rounded up to whole LANE_WIDTH lanes); the scalar kernels use
-        // exactly `block`. Size the shared scratch for whichever runs.
+        // rounded up to whole LANE_WIDTH lanes); the single-item kernel
+        // uses exactly `block`.
         let accum_len = match input {
+            TaskInput::Single(_) => block,
             TaskInput::Lanes { batch, .. } => {
                 slice.local_rows() * batch.div_ceil(LANE_WIDTH) * LANE_WIDTH
             }
-            _ => block,
         };
         if scratch.accum.len() < accum_len {
             scratch.accum.resize(accum_len, 0);
@@ -746,9 +669,6 @@ fn run_pe_range(
         match input {
             TaskInput::Single(schedule) => {
                 plan_slice_single(slice, &schedule.cols, accum, out, relu);
-            }
-            TaskInput::Batch { schedule, batch } => {
-                plan_slice_batch(slice, schedule, *batch, accum, out, relu);
             }
             TaskInput::Lanes { schedule, batch } => {
                 plan_slice_lanes(slice, schedule, *batch, plan.lane_tile(), accum, out, relu);
@@ -784,44 +704,10 @@ fn plan_slice_single(
     }
 }
 
-/// The scalar fused batch kernel over a plan slice (the
-/// `without_lanes` A/B baseline): each pre-decoded entry is applied to
-/// every live item of its column, one MAC at a time, touching one
-/// contiguous `[row * batch .. (row + 1) * batch]` accumulator stripe.
-/// Outputs land in the same `[local_row * batch + item]` layout.
-fn plan_slice_batch(
-    slice: &PlanSlice,
-    schedule: &BatchSchedule,
-    batch: usize,
-    accum: &mut [i32],
-    out: &mut [Q8p8],
-    relu: bool,
-) {
-    accum.fill(0);
-    for j in 0..schedule.col_ptr.len() - 1 {
-        let live = &schedule.live[schedule.col_ptr[j] as usize..schedule.col_ptr[j + 1] as usize];
-        if live.is_empty() {
-            continue;
-        }
-        let (rows, weights) = slice.col(j);
-        for (&row, &w) in rows.iter().zip(weights) {
-            let stripe = &mut accum[row as usize * batch..(row as usize + 1) * batch];
-            for &(i, a) in live {
-                let acc = &mut stripe[i as usize];
-                *acc = acc.saturating_add(w * a);
-            }
-        }
-    }
-    for (slot, &acc) in out.iter_mut().zip(accum.iter()) {
-        *slot = writeback(acc, relu);
-    }
-}
-
 /// The batch-lane vectorized fused kernel over a plan slice: one
 /// pre-decoded weight × one [`LANE_WIDTH`]-item activation block per
 /// MAC step, as a fixed-width `[i32; LANE_WIDTH]` saturating
-/// multiply-accumulate (autovectorized, or AVX2 under the `simd`
-/// feature — see [`mac_span`]).
+/// multiply-accumulate (AVX2 when detected — see [`simd::mac_span`]).
 ///
 /// The scan is tiled: column tiles (the plan's per-layer [`LaneTile`])
 /// outermost, lane blocks inside, so a tile's SoA entry runs are
@@ -832,16 +718,16 @@ fn plan_slice_batch(
 /// block `lb`), accumulator `(row, lb, k)` receives products from
 /// columns in ascending order — tiles ascend and blocks don't reorder
 /// columns within a tile — with entries in storage order, exactly the
-/// scalar kernels' sequence. Other lanes of the vector belong to other
-/// items (independent accumulator chains), and a lane whose item has a
+/// single-item and streaming kernels' sequence. Other lanes of the
+/// vector belong to other items (independent accumulator chains), and
+/// a lane whose item has a
 /// zero activation (or doesn't exist, in a padded tail block) adds a
 /// zero product — a saturating-add no-op. So vectorizing across the
 /// batch cannot change any item's saturation behaviour.
 ///
 /// Accumulators are lane-aligned — `[(lb * local_rows + row) * LANE_WIDTH + k]`
-/// — and written back to the scalar layout `[row * batch + item]`,
-/// dropping padded lanes, so gather is shared with the scalar batch
-/// kernel.
+/// — and written back to the `[row * batch + item]` layout
+/// [`gather_batch`] reads, dropping padded lanes.
 #[allow(clippy::too_many_arguments)]
 fn plan_slice_lanes(
     slice: &PlanSlice,
@@ -870,7 +756,7 @@ fn plan_slice_lanes(
                     .try_into()
                     .expect("lane chunk is LANE_WIDTH long");
                 let (col_rows, col_weights) = slice.col(j);
-                mac_span(col_rows, col_weights, a, acc);
+                simd::mac_span(col_rows, col_weights, a, acc);
             }
         }
     }
@@ -885,27 +771,9 @@ fn plan_slice_lanes(
     }
 }
 
-/// One column's MAC span: every pre-decoded `(row, weight)` entry times
-/// one [`LANE_WIDTH`]-item activation block, saturating into the
-/// lane-aligned accumulator stripes. Dispatches to the AVX2 intrinsics
-/// path when the `simd` feature is on and the CPU supports it
-/// (detection is cached by `std`), otherwise to the fixed-width scalar
-/// form the autovectorizer can prove.
-#[inline]
-#[cfg_attr(all(feature = "simd", target_arch = "x86_64"), allow(unsafe_code))]
-fn mac_span(rows: &[u32], weights: &[i32], a: &[i32; LANE_WIDTH], accum: &mut [i32]) {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: the AVX2 target feature was just detected at runtime.
-        unsafe { simd::mac_span_avx2(rows, weights, a, accum) };
-        return;
-    }
-    mac_span_scalar(rows, weights, a, accum);
-}
-
-/// The portable lane MAC: a fixed-width `[i32; LANE_WIDTH]` loop with
-/// no early exits, which the autovectorizer lowers to full-width vector
-/// adds (the saturation select becomes a vector blend).
+/// The portable lane MAC and the fallback on CPUs without AVX2 (and on
+/// other architectures): a fixed-width `[i32; LANE_WIDTH]` loop with no
+/// early exits.
 fn mac_span_scalar(rows: &[u32], weights: &[i32], a: &[i32; LANE_WIDTH], accum: &mut [i32]) {
     for (&row, &w) in rows.iter().zip(weights) {
         let acc: &mut [i32; LANE_WIDTH] = (&mut accum[row as usize * LANE_WIDTH..][..LANE_WIDTH])
@@ -920,36 +788,75 @@ fn mac_span_scalar(rows: &[u32], weights: &[i32], a: &[i32; LANE_WIDTH], accum: 
 }
 
 /// Which instruction path the lane kernel's MAC takes on this host:
-/// `"avx2"` when the `simd` feature is compiled in and the CPU has it,
-/// `"scalar"` (autovectorized fixed-width loops) otherwise. Recorded by
-/// `kernel_sweep` so committed numbers say what they measured.
+/// `"avx2"` when the CPU has it, `"scalar"` (the fixed-width fallback)
+/// otherwise. Recorded by `kernel_sweep` and the serving benchmark so
+/// their numbers say what they measured.
 pub fn lane_isa() -> &'static str {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        return "avx2";
+    if simd::has_avx2() {
+        "avx2"
+    } else {
+        "scalar"
     }
-    "scalar"
 }
 
-/// The AVX2 `core::arch` lane MAC, compiled only under the `simd`
-/// feature. i32 has no native saturating add; it is synthesized from
-/// two's-complement overflow detection (overflow iff the addends share
-/// a sign and the sum doesn't) and a sign-directed blend to
-/// `i32::MAX`/`i32::MIN` — bit-identical to `i32::saturating_add` per
-/// lane, verified against the scalar kernel by the lane property tests.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+/// The lane MAC dispatch and its AVX2 `core::arch` kernel — the crate's
+/// only `unsafe` code. i32 has no native saturating add; it is
+/// synthesized from two's-complement overflow detection (overflow iff
+/// the addends share a sign and the sum doesn't) and a sign-directed
+/// blend to `i32::MAX`/`i32::MIN` — bit-identical to
+/// `i32::saturating_add` per lane, pinned against [`mac_span_scalar`]
+/// by the unit test below and against the golden model by the lane
+/// property tests.
 mod simd {
     #![allow(unsafe_code)]
 
+    #[cfg(target_arch = "x86_64")]
     use core::arch::x86_64::*;
 
     use super::LANE_WIDTH;
 
+    // The AVX2 kernel's SAFETY arguments load and store one lane block
+    // as exactly one 256-bit vector.
+    #[cfg(target_arch = "x86_64")]
+    const _: () = assert!(LANE_WIDTH * 32 == 256);
+
+    /// Whether this CPU runs the AVX2 lane MAC (detection is cached by
+    /// `std`, so the per-span check is one load and a predictable
+    /// branch).
+    pub(super) fn has_avx2() -> bool {
+        #[cfg(target_arch = "x86_64")]
+        return std::arch::is_x86_feature_detected!("avx2");
+        #[cfg(not(target_arch = "x86_64"))]
+        false
+    }
+
+    /// One column's MAC span: every pre-decoded `(row, weight)` entry
+    /// times one [`LANE_WIDTH`]-item activation block, saturating into
+    /// the lane-aligned accumulator stripes — AVX2 when the CPU has it,
+    /// the scalar fallback otherwise.
+    #[inline]
+    pub(super) fn mac_span(
+        rows: &[u32],
+        weights: &[i32],
+        a: &[i32; LANE_WIDTH],
+        accum: &mut [i32],
+    ) {
+        #[cfg(target_arch = "x86_64")]
+        if has_avx2() {
+            // SAFETY: the AVX2 target feature was just detected at
+            // runtime.
+            unsafe { mac_span_avx2(rows, weights, a, accum) };
+            return;
+        }
+        super::mac_span_scalar(rows, weights, a, accum);
+    }
+
     /// # Safety
     ///
     /// The caller must have verified AVX2 support at runtime.
+    #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn mac_span_avx2(
+    unsafe fn mac_span_avx2(
         rows: &[u32],
         weights: &[i32],
         a: &[i32; LANE_WIDTH],
@@ -960,11 +867,11 @@ mod simd {
         let va = unsafe { _mm256_loadu_si256(a.as_ptr().cast()) };
         let max = _mm256_set1_epi32(i32::MAX);
         for (&row, &w) in rows.iter().zip(weights) {
-            let stripe = row as usize * LANE_WIDTH;
-            debug_assert!(stripe + LANE_WIDTH <= accum.len());
-            let ptr = unsafe { accum.as_mut_ptr().add(stripe) };
-            // SAFETY: plan rows index `local_rows` stripes of exactly
-            // LANE_WIDTH accumulators each (sized by `run_pe_range`).
+            // Bounds-checked like the scalar kernel: a row past `accum`
+            // panics instead of touching memory outside it.
+            let ptr = accum[row as usize * LANE_WIDTH..][..LANE_WIDTH].as_mut_ptr();
+            // SAFETY: `ptr` heads a checked stripe of LANE_WIDTH = 8
+            // i32s, exactly one 256-bit vector.
             let acc = unsafe { _mm256_loadu_si256(ptr.cast()) };
             // Q8.8 × Q8.8 products fit i32; mullo is exact.
             let prod = _mm256_mullo_epi32(_mm256_set1_epi32(w), va);
@@ -977,8 +884,40 @@ mod simd {
             let rail = _mm256_xor_si256(_mm256_srai_epi32(acc, 31), max);
             let mask = _mm256_srai_epi32(ovf, 31);
             let res = _mm256_blendv_epi8(sum, rail, mask);
-            // SAFETY: same stripe bounds as the load above.
+            // SAFETY: the same checked 8-i32 stripe as the load above.
             unsafe { _mm256_storeu_si256(ptr.cast(), res) };
+        }
+    }
+
+    #[cfg(all(test, target_arch = "x86_64"))]
+    mod tests {
+        use super::super::mac_span_scalar;
+        use super::*;
+
+        #[test]
+        fn avx2_and_scalar_macs_are_bit_equal_past_both_rails() {
+            if !has_avx2() {
+                return;
+            }
+            // Near-rail Q8.8 raws: every product is about ±2^30, so a
+            // few same-sign adds drive lanes into i32::MAX or i32::MIN,
+            // and mixed-sign spans walk lanes back off a rail.
+            let a: [i32; LANE_WIDTH] = [32767, -32768, 32767, -32768, 1, -1, 0, 30000];
+            let weights = [
+                32767, 32767, -32768, 32767, -32768, -32768, 12345, -7, 32767,
+            ]
+            .repeat(4);
+            let rows: Vec<u32> = (0..weights.len() as u32).map(|i| i % 3).collect();
+            let mut scalar = vec![0i32; 3 * LANE_WIDTH];
+            let mut avx2 = scalar.clone();
+            for start in [0, 5, 11] {
+                mac_span_scalar(&rows[start..], &weights[start..], &a, &mut scalar);
+                // SAFETY: AVX2 was detected above.
+                unsafe { mac_span_avx2(&rows[start..], &weights[start..], &a, &mut avx2) };
+                assert_eq!(avx2, scalar, "diverged after the span from entry {start}");
+            }
+            assert!(scalar.contains(&i32::MAX), "{scalar:?}");
+            assert!(scalar.contains(&i32::MIN), "{scalar:?}");
         }
     }
 }
@@ -1249,7 +1188,6 @@ fn execute_batch_fused(
 /// first PE-slice range inline while the pool runs the rest).
 struct Session {
     single: Arc<SingleSchedule>,
-    batch: Arc<BatchSchedule>,
     lanes: Arc<LaneSchedule>,
     latch: Arc<Latch>,
     local: WorkerScratch,
@@ -1259,7 +1197,6 @@ impl Session {
     fn new() -> Self {
         Self {
             single: Arc::new(SingleSchedule::default()),
-            batch: Arc::new(BatchSchedule::default()),
             lanes: Arc::new(LaneSchedule::default()),
             latch: Arc::new(Latch::new()),
             local: WorkerScratch::default(),
@@ -1525,7 +1462,7 @@ mod tests {
     }
 
     #[test]
-    fn lane_and_scalar_fused_kernels_are_bit_exact_at_remainder_batches() {
+    fn lane_kernel_matches_golden_at_remainder_batches() {
         // Every congruence class around LANE_WIDTH, including exact
         // multiples, one-off remainders, and a lone spillover lane.
         let layer = Benchmark::Alex6.generate_scaled(3, 96);
@@ -1536,15 +1473,12 @@ mod tests {
                 .collect();
             for threads in [1, 4] {
                 let lanes = NativeCpu::with_threads(threads);
-                let scalar = NativeCpu::with_threads(threads).without_lanes();
-                assert!(lanes.uses_lanes());
-                assert!(!scalar.uses_lanes() && scalar.uses_plans());
                 for relu in [false, true] {
                     let lv = lanes.run_layer_batch(&enc, &batch, relu);
-                    let sv = scalar.run_layer_batch(&enc, &batch, relu);
-                    for i in 0..b {
+                    for (i, acts) in batch.iter().enumerate() {
                         assert_eq!(
-                            lv[i].outputs, sv[i].outputs,
+                            lv[i].outputs,
+                            functional::execute(&enc, acts, relu),
                             "batch {b} item {i} diverged ({threads}t, relu {relu})"
                         );
                     }
@@ -1681,9 +1615,13 @@ mod tests {
     #[test]
     fn lane_isa_reports_a_known_path() {
         let isa = super::lane_isa();
+        #[cfg(target_arch = "x86_64")]
+        assert_eq!(
+            isa == "avx2",
+            std::arch::is_x86_feature_detected!("avx2"),
+            "{isa}"
+        );
         assert!(isa == "avx2" || isa == "scalar", "{isa}");
-        #[cfg(not(feature = "simd"))]
-        assert_eq!(isa, "scalar");
     }
 
     #[test]

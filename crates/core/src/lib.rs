@@ -43,12 +43,12 @@
 //! assert!(result.energy().unwrap().total_uj() > 0.0);
 //! ```
 
-// Unsafe code is forbidden except for the one audited `core::arch`
-// intrinsics module behind the `simd` feature (backend::native::simd),
-// which carries its own `#[allow(unsafe_code)]` — everything else in
-// the crate still refuses to compile with unsafe under `deny`.
-#![cfg_attr(not(feature = "simd"), forbid(unsafe_code))]
-#![cfg_attr(feature = "simd", deny(unsafe_code))]
+// Unsafe code is denied except for the one audited `core::arch`
+// intrinsics module (backend::native::simd, the batch-lane kernel's
+// runtime-detected AVX2 MAC), which carries its own
+// `#[allow(unsafe_code)]` — everything else in the crate refuses to
+// compile with unsafe.
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 mod artifact;

@@ -755,7 +755,9 @@ impl Response {
 /// Returns `Ok(None)` on a clean end-of-stream (the peer closed between
 /// frames). A stream that ends *inside* a frame — mid-prefix or
 /// mid-body — is a [`FrameError::Truncated`]; a length prefix above
-/// [`MAX_BODY`] is rejected before any allocation.
+/// [`MAX_BODY`] is rejected before any allocation, and the body buffer
+/// grows in 64 KiB chunks as bytes arrive rather than to the claimed
+/// length up front.
 ///
 /// # Errors
 ///
@@ -784,17 +786,25 @@ pub fn read_frame(stream: &mut impl Read) -> Result<Option<Vec<u8>>, FrameError>
     if len > MAX_BODY {
         return Err(FrameError::Oversized { len, max: MAX_BODY });
     }
-    let mut body = vec![0u8; len];
-    stream.read_exact(&mut body).map_err(|e| {
-        if e.kind() == io::ErrorKind::UnexpectedEof {
-            FrameError::Truncated {
-                offset: 4,
-                section: "frame body",
+    // Grow the body a chunk at a time as bytes arrive: a corrupt or
+    // hostile prefix may claim up to MAX_BODY, and a stream that ends
+    // early must not have paid for the bytes it never sent.
+    const CHUNK: usize = 64 << 10;
+    let mut body = Vec::new();
+    while body.len() < len {
+        let start = body.len();
+        body.resize(start + (len - start).min(CHUNK), 0);
+        stream.read_exact(&mut body[start..]).map_err(|e| {
+            if e.kind() == io::ErrorKind::UnexpectedEof {
+                FrameError::Truncated {
+                    offset: 4,
+                    section: "frame body",
+                }
+            } else {
+                FrameError::Io(e)
             }
-        } else {
-            FrameError::Io(e)
-        }
-    })?;
+        })?;
+    }
     Ok(Some(body))
 }
 
